@@ -459,10 +459,11 @@ fn main() {
     }));
 
     // 64-replica fleet under bursty multi-turn chat with
-    // prefix-affinity routing: the parallel-stepping showcase. Times
+    // prefix-affinity routing: the windowed-stepping showcase. Times
     // both step modes (best-of-3 each), asserts their reports are
-    // bit-for-bit identical, and gates the parallel path's wall-clock
-    // advantage through `speedup_vs_sequential`.
+    // bit-for-bit identical, and gates the windowed path's wall-clock
+    // advantage (pricing memo, fast decode step and dirty snapshots,
+    // all on one thread) through `speedup_vs_sequential`.
     scenarios.push({
         let workload = ServingWorkload::new(
             ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),

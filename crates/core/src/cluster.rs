@@ -53,7 +53,6 @@ use papi_workload::{
     MigrationContext, MigrationPolicy, MigrationSpec, PolicySpec, ReplicaRole, ReplicaSnapshot,
     ReplicaState, RouteContext, RoutePolicy, Router, ServingWorkload,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -74,14 +73,21 @@ pub enum StepMode {
     Sequential,
     /// Window-at-a-time: between consecutive global events (an arrival
     /// being routed, or a migration delivery) every replica with
-    /// pending work below the event horizon steps to the horizon
-    /// independently — fanned out via rayon — because replicas only
-    /// interact *at* events. Prefill-role replicas still advance one
-    /// step at a time under a tightening bound (each export they emit
-    /// can schedule a delivery earlier than the horizon, capping how
-    /// far anyone may step), which preserves the sequential path's
-    /// event order exactly. Replica snapshots are dirty-tracked and
-    /// iteration pricing is memoized fleet-wide per design.
+    /// pending work below the event horizon runs straight to the
+    /// horizon, in replica order on the calling thread, because
+    /// replicas only interact *at* events. Prefill-role replicas still
+    /// advance one step at a time under a tightening bound (each export
+    /// they emit can schedule a delivery earlier than the horizon,
+    /// capping how far anyone may step), which preserves the
+    /// sequential path's event order exactly. Replica snapshots are
+    /// dirty-tracked and iteration pricing is memoized fleet-wide per
+    /// design.
+    ///
+    /// Windows carry too little work to pay for threads: on a 2-vCPU
+    /// host the median window with two or more runnable replicas is
+    /// 5–14 µs of stepping on the disaggregated and elastic fleets
+    /// (55–95 µs over about 8 replicas on a 64-replica bursty fleet),
+    /// while spawning and joining one OS thread costs 20–40 µs of CPU.
     #[default]
     Parallel,
 }
@@ -1037,7 +1043,9 @@ impl ClusterEngine {
     /// among themselves — non-exporter steps never affect them); the
     /// bound is then final, and every other session can run freely to
     /// it — any interleaving gives the same per-session result, so
-    /// they fan out in parallel. Exports are priced and queued in the
+    /// they run one after another in replica order on the calling
+    /// thread (a window is shorter than a thread spawn; see
+    /// [`StepMode::Parallel`]). Exports are priced and queued in the
     /// same order the sequential loop would queue them, preserving
     /// delivery tie-breaks; snapshots at events are served from a
     /// dirty-tracked cache (a session not stepped or pushed since the
@@ -1174,25 +1182,18 @@ impl ClusterEngine {
             }
 
             // The bound is now final for this window: the remaining
-            // sessions cannot move it, so each one steps to it
-            // independently — in parallel, no per-step global scan.
+            // sessions cannot move it, so each one runs to it in
+            // replica order on this thread — no per-step global scan.
             let bound = in_flight.iter().map(|m| m.deliver_s).fold(h, f64::min);
-            let mut runnable: Vec<&mut ServingSession<'_>> = Vec::new();
             for (idx, session) in sessions.iter_mut().enumerate() {
                 if roles[idx] != ReplicaRole::Prefill
                     && session.has_pending_work()
                     && session.clock() < bound
                 {
                     dirty[idx] = true;
-                    runnable.push(session);
+                    advanced = true;
+                    session.run_until(bound);
                 }
-            }
-            if !runnable.is_empty() {
-                advanced = true;
-                let _: Vec<()> = runnable
-                    .into_par_iter()
-                    .map(|session| session.run_until(bound))
-                    .collect();
             }
             if advanced {
                 // Fresh exports may have scheduled an earlier event —

@@ -506,12 +506,21 @@ impl ProfileDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
 
-    /// The profiler is process-global, so every assertion about
-    /// recorded state lives in this one test (Rust runs tests in
-    /// parallel threads; separate tests would race on enable/reset).
+    /// The profiler is process-global and Rust runs tests on parallel
+    /// threads, so every test that enables, resets or reports holds
+    /// this lock for its whole body. Without it one test's `disable()`
+    /// silences another's phases mid-recording. The lock guards no
+    /// data, so a poisoned lock (a failed test) is safe to take over.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static GLOBAL: Mutex<()> = Mutex::new(());
+        GLOBAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn phases_record_nest_serialize_and_compare() {
+        let _global = exclusive();
         enable();
         reset();
         {
@@ -571,6 +580,7 @@ mod tests {
     /// Samples from rayon-style helper threads merge into the report.
     #[test]
     fn cross_thread_samples_merge() {
+        let _global = exclusive();
         enable();
         let handles: Vec<_> = (0..2)
             .map(|_| {

@@ -43,9 +43,8 @@ pub struct SchedulerStats {
 /// paper evaluates, attention runs on whatever memory-side device holds
 /// the KV cache.
 ///
-/// `Send` is a supertrait so boxed schedulers can live inside serving
-/// sessions that fan out across threads (the cluster engine's parallel
-/// step mode).
+/// `Send` is a supertrait so serving sessions holding a boxed
+/// scheduler stay `Send` and can be stepped on any thread.
 pub trait FcScheduler: Send {
     /// Decides the placement for an iteration at `(rlp, tlp)`.
     fn decide(&mut self, rlp: u64, tlp: u64) -> Placement;

@@ -172,11 +172,13 @@ proptest! {
     /// fetch traffic and control-plane sync ticks to both loops, and
     /// the parallel loop must still reproduce the sequential reference
     /// bit for bit — including the `GlobalTierReport` — across replica
-    /// counts, routing policies, fabric pricings, and sync intervals.
-    /// The workload is the thrash-prone long-context scatter shape
-    /// (odd conversation count, so turns change replicas), which makes
-    /// remote fetches actually occur rather than testing a quiet
-    /// directory.
+    /// counts, routing policies, fabric pricings, sync intervals, and
+    /// colocated or disaggregated pools (1–2 GPU prefill replicas
+    /// exporting to PIM decode replicas, the `disagg_shared_tier`
+    /// benchmark shape). The workload is the thrash-prone long-context
+    /// scatter shape (odd conversation count, so turns change
+    /// replicas), which makes remote fetches actually occur rather than
+    /// testing a quiet directory.
     #[test]
     fn parallel_matches_sequential_shared_tier(
         seed in 0u64..1_000_000,
@@ -184,6 +186,7 @@ proptest! {
         policy_pick in 0usize..3,
         free_fabric in proptest::bool::ANY,
         sync_pick in 0usize..3,
+        prefill_pick in 0usize..3,
     ) {
         let policy = match policy_pick {
             0 => PolicySpec::RoundRobin,
@@ -197,7 +200,7 @@ proptest! {
             51,
         )
         .with_seed(seed);
-        let spec = ClusterSpec::new(
+        let mut spec = ClusterSpec::new(
             DesignKind::PimOnlyPapi,
             papi::llm::ModelPreset::Gpt3_175B.config(),
             1,
@@ -221,10 +224,22 @@ proptest! {
                 shared
             }
         });
+        // 0 keeps the fleet colocated; otherwise the first 1–2 replicas
+        // (capped so one decode replica remains) prefill on GPUs.
+        let prefill = prefill_pick.min(dp - 1);
+        if prefill > 0 {
+            let roles = (0..dp)
+                .map(|i| if i < prefill { ReplicaRole::Prefill } else { ReplicaRole::Decode })
+                .collect();
+            spec = spec.with_roles(roles).with_prefill_design(DesignKind::A100AttAcc);
+        }
         assert_modes_agree(
             spec,
             &workload,
-            &format!("shared-tier dp={dp} policy={policy_pick} free={free_fabric} sync={sync_s}"),
+            &format!(
+                "shared-tier dp={dp} prefill={prefill} policy={policy_pick} \
+                 free={free_fabric} sync={sync_s}"
+            ),
         );
     }
 }
