@@ -1,15 +1,23 @@
-//! Phase-level profiler for the fleet simulator.
+//! Phase-level profiler for the simulator.
 //!
-//! Runs the `cluster_fleet_64` perf scenario (64 prefix-affinity
-//! replicas, bursty multi-turn chat) with the `papi-perf` timers
-//! enabled and prints the per-phase breakdown — where a fleet episode
-//! actually spends wall time (`step`, `price`, `snapshot`, `route`,
-//! `migrate`). Optionally persists the profile for CI artifacts and
-//! gates against a saved baseline:
+//! Runs one `perf_bench` scenario with the `papi-perf` timers enabled
+//! and prints the per-phase breakdown — where an episode actually
+//! spends wall time. `--scenario` picks it:
+//!
+//! - `cluster_fleet_64` (the default): 64 prefix-affinity replicas
+//!   under bursty multi-turn chat — `step`, `price`, `snapshot`,
+//!   `route`, `migrate`;
+//! - `long_context_offload`: one replica with prefix sharing and a
+//!   60 000-block KV capacity tier under long-context thrash — `step`,
+//!   `price`, and the KV phases `kv_evict` (prefix-cache eviction and
+//!   spill) and `tier_fetch`.
+//!
+//! Optionally persists the profile for CI artifacts and gates against a
+//! saved baseline:
 //!
 //! ```text
 //! cargo run --release -p papi-bench --bin perf_profile -- \
-//!     --json profile.json --folded profile.folded \
+//!     [--scenario NAME] --json profile.json --folded profile.folded \
 //!     [--baseline old-profile.json] [--threshold 0.5]
 //! ```
 //!
@@ -19,7 +27,10 @@
 //! baseline (default threshold 0.5 — phase walls on a shared CI runner
 //! are noisy, so the gate is loose; the artifact trend is the signal).
 
-use papi_core::{ClusterEngine, ClusterSpec, DesignKind, SessionTuning, StepMode};
+use papi_core::{
+    ClusterEngine, ClusterSpec, DesignKind, KvTierSpec, ServingEngine, SessionTuning, StepMode,
+    SystemConfig,
+};
 use papi_llm::ModelPreset;
 use papi_perf::Profile;
 use papi_workload::{
@@ -29,9 +40,68 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: perf_profile [--json FILE] [--folded FILE] [--baseline FILE] [--threshold F]"
+        "usage: perf_profile [--scenario cluster_fleet_64|long_context_offload] \
+         [--json FILE] [--folded FILE] [--baseline FILE] [--threshold F]"
     );
     std::process::exit(2);
+}
+
+/// An episode runner: simulates one episode and returns the replica
+/// iterations it stepped.
+type Episode = Box<dyn Fn() -> u64>;
+
+/// Builds the named scenario — the same shapes `perf_bench` times.
+fn scenario(name: &str) -> Option<Episode> {
+    match name {
+        "cluster_fleet_64" => {
+            let workload = ServingWorkload::new(
+                ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
+                ArrivalProcess::Bursty {
+                    burst_size: 8,
+                    interval_sec: 1.0,
+                },
+                2048,
+            )
+            .with_seed(42);
+            let spec = ClusterSpec::new(
+                DesignKind::PimOnlyPapi,
+                ModelPreset::Llama65B.config(),
+                1,
+                64,
+            )
+            .with_routing(PolicySpec::prefix_affinity())
+            .with_tuning(
+                SessionTuning::default()
+                    .with_max_batch(8)
+                    .with_kv_block_size(16)
+                    .with_prefix_sharing(true),
+            )
+            .with_step_mode(StepMode::Parallel);
+            let engine = ClusterEngine::new(spec).expect("valid fleet");
+            Some(Box::new(move || {
+                let report = engine.run(&workload);
+                report.replicas.iter().map(|r| r.iterations).sum()
+            }))
+        }
+        "long_context_offload" => {
+            let workload = ServingWorkload::poisson(
+                ConversationDataset::multi_turn(DatasetKind::LongContext, 4096, 3),
+                1.0,
+                120,
+            )
+            .with_seed(23);
+            let engine = ServingEngine::new(SystemConfig::build(
+                DesignKind::PimOnlyPapi,
+                ModelPreset::Gpt3_175B.config(),
+            ))
+            .with_max_batch(16)
+            .with_kv_block_size(16)
+            .with_prefix_sharing(true)
+            .with_kv_tier(KvTierSpec::new(60_000));
+            Some(Box::new(move || engine.run(&workload).iterations))
+        }
+        _ => None,
+    }
 }
 
 fn main() {
@@ -39,10 +109,12 @@ fn main() {
     let mut folded_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut threshold = 0.5f64;
+    let mut scenario_name = "cluster_fleet_64".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match flag.as_str() {
+            "--scenario" => scenario_name = value(),
             "--json" => json_path = Some(value()),
             "--folded" => folded_path = Some(value()),
             "--baseline" => baseline_path = Some(value()),
@@ -56,47 +128,22 @@ fn main() {
         }
     }
 
-    // The same shape perf_bench's cluster_fleet_64 scenario times.
-    let workload = ServingWorkload::new(
-        ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),
-        ArrivalProcess::Bursty {
-            burst_size: 8,
-            interval_sec: 1.0,
-        },
-        2048,
-    )
-    .with_seed(42);
-    let spec = ClusterSpec::new(
-        DesignKind::PimOnlyPapi,
-        ModelPreset::Llama65B.config(),
-        1,
-        64,
-    )
-    .with_routing(PolicySpec::prefix_affinity())
-    .with_tuning(
-        SessionTuning::default()
-            .with_max_batch(8)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true),
-    )
-    .with_step_mode(StepMode::Parallel);
+    let episode = scenario(&scenario_name).unwrap_or_else(|| usage());
 
     // Warm (JIT-free in Rust, but it pages in the binary and fills the
     // pricing memo exactly as a long-running server would), then
     // profile one clean episode.
-    let engine = ClusterEngine::new(spec).expect("valid fleet");
-    engine.run(&workload);
+    episode();
     papi_perf::enable();
     papi_perf::reset();
     let wall = Instant::now();
-    let report = engine.run(&workload);
+    let iterations = episode();
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
     papi_perf::disable();
     let profile = papi_perf::report();
 
-    let iterations: u64 = report.replicas.iter().map(|r| r.iterations).sum();
     eprintln!(
-        "cluster_fleet_64: {wall_ms:.1} ms wall, {iterations} replica iterations, \
+        "{scenario_name}: {wall_ms:.1} ms wall, {iterations} replica iterations, \
          {:.1} ms instrumented",
         profile.total_s() * 1e3
     );

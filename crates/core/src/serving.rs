@@ -989,6 +989,7 @@ impl ServingSession<'_> {
     /// instead of forgetting it. Returns the blocks that became free,
     /// or `None` when there is no cache or nothing left to evict.
     fn relieve_prefix_cache(&mut self) -> Option<u64> {
+        papi_perf::phase!("kv_evict");
         let tree = self.prefix_tree.as_mut()?;
         let evicted = tree.evict_lru_entry(&mut self.pool)?;
         self.kv_stats.prefix_evictions += 1;
@@ -1031,6 +1032,7 @@ impl ServingSession<'_> {
     /// fetch policy declines, or the hot pool cannot make room — the
     /// caller then re-prefills, exactly as without a tier.
     fn try_tier_fetch(&mut self, hint: PrefixHint) -> Option<KvSeq> {
+        papi_perf::phase!("tier_fetch");
         let block_size = self.pool.block_size();
         let state = self.tier.as_mut()?;
         let tier_tokens = state.tier.peek(hint.key)?;
@@ -1102,6 +1104,7 @@ impl ServingSession<'_> {
     /// usable overlap, the fetch policy declines, or the hot pool
     /// cannot make room.
     fn try_global_fetch(&mut self, hint: PrefixHint) -> Option<KvSeq> {
+        papi_perf::phase!("tier_fetch");
         let block_size = self.pool.block_size();
         let state = self.global.as_mut()?;
         let entry = state.view.lookup(hint.key)?;

@@ -18,7 +18,7 @@
 
 use crate::pool::{BlockId, KvBlockPool, KvSeq};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// The workload's description of a request's shareable prompt prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -140,6 +140,9 @@ impl KvCacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct PrefixTree {
     nodes: HashMap<u64, PrefixNode>,
+    /// `(last_use, key)` of every entry, so the LRU victim is the
+    /// first element (ties break on the key).
+    recency: BTreeSet<(u64, u64)>,
     tick: u64,
 }
 
@@ -204,6 +207,8 @@ impl PrefixTree {
         if usable == 0 {
             return None;
         }
+        self.recency.remove(&(node.last_use, key));
+        self.recency.insert((tick, key));
         node.last_use = tick;
         node.hits += 1;
         let blocks: Vec<BlockId> = node.blocks[..usable].to_vec();
@@ -227,11 +232,15 @@ impl PrefixTree {
         let full = (tokens / pool.block_size()) as usize;
         debug_assert!(blocks.len() >= full, "publish beyond the held blocks");
         self.tick += 1;
+        // A fresh entry's `last_use` of 0 is never indexed (ticks start
+        // at 1), so the removal below is then a no-op.
         let node = self.nodes.entry(key).or_insert_with(|| PrefixNode {
             blocks: Vec::new(),
             last_use: 0,
             hits: 0,
         });
+        self.recency.remove(&(node.last_use, key));
+        self.recency.insert((self.tick, key));
         node.last_use = self.tick;
         if full <= node.blocks.len() {
             return false;
@@ -255,13 +264,14 @@ impl PrefixTree {
     /// Like [`evict_lru`](Self::evict_lru), but also reports *what* was
     /// evicted — the identity a capacity tier needs to remember the
     /// prefix instead of forgetting it.
+    ///
+    /// The victim is the entry with the smallest `(last_use, key)`:
+    /// least recently used, ties broken on the key so eviction order is
+    /// deterministic. It is the front of an ordered recency index, so
+    /// picking it costs O(log n) in the number of cached entries (plus
+    /// the release of its blocks), not a scan.
     pub fn evict_lru_entry(&mut self, pool: &mut KvBlockPool) -> Option<EvictedPrefix> {
-        // Ties break on the key so eviction order is deterministic.
-        let victim = self
-            .nodes
-            .iter()
-            .min_by_key(|(key, node)| (node.last_use, **key))
-            .map(|(key, _)| *key)?;
+        let (_, victim) = self.recency.pop_first()?;
         let node = self.nodes.remove(&victim).expect("victim exists");
         for &b in &node.blocks {
             pool.untrack(b);

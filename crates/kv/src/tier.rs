@@ -26,7 +26,7 @@
 //! [`SpillSpec`]/[`FetchSpec`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One spilled prefix: the logical record the tier keeps in place of
 /// the freed hot blocks.
@@ -78,6 +78,9 @@ pub struct KvTier {
     block_size: u64,
     budget_blocks: u64,
     entries: HashMap<u64, TierEntry>,
+    /// `(last_use, key)` of every entry, so the LRU victim is the
+    /// first element (ties break on the key).
+    recency: BTreeSet<(u64, u64)>,
     blocks_in_use: u64,
     tick: u64,
 }
@@ -97,6 +100,7 @@ impl KvTier {
             block_size,
             budget_blocks,
             entries: HashMap::new(),
+            recency: BTreeSet::new(),
             blocks_in_use: 0,
             tick: 0,
         }
@@ -159,6 +163,12 @@ impl KvTier {
     ///
     /// Returns what happened; on `accepted == false` (the prefix alone
     /// exceeds the whole budget) the tier is left untouched.
+    ///
+    /// Each dropped entry is the one with the smallest
+    /// `(last_use, key)` other than `key` itself: least recently used,
+    /// ties broken on the key. It is read off the front of an ordered
+    /// recency index (skipping at most the incoming key), so each drop
+    /// costs O(log n) in the number of resident entries, not a scan.
     pub fn spill(&mut self, key: u64, tokens: u64) -> SpillOutcome {
         let mut outcome = SpillOutcome {
             accepted: false,
@@ -173,13 +183,12 @@ impl KvTier {
         while self.free_blocks() < need {
             // The incoming key must not be its own victim: skip it when
             // extending an existing record.
-            let victim = self
-                .entries
+            let &(last_use, victim) = self
+                .recency
                 .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(k, e)| (e.last_use, **k))
-                .map(|(k, _)| *k)
+                .find(|&&(_, k)| k != key)
                 .expect("budget check guarantees a victim exists");
+            self.recency.remove(&(last_use, victim));
             let dropped = self.entries.remove(&victim).expect("victim exists");
             let freed = self.blocks_for(dropped.tokens);
             self.blocks_in_use -= freed;
@@ -192,6 +201,10 @@ impl KvTier {
             last_use: 0,
         });
         entry.tokens = entry.tokens.max(tokens);
+        // A fresh entry's `last_use` of 0 is never indexed (ticks start
+        // at 1), so the removal below is then a no-op.
+        self.recency.remove(&(entry.last_use, key));
+        self.recency.insert((self.tick, key));
         entry.last_use = self.tick;
         self.blocks_in_use += need;
         outcome.accepted = true;
@@ -204,6 +217,7 @@ impl KvTier {
     /// one tier at a time.
     pub fn fetch(&mut self, key: u64) -> Option<u64> {
         let entry = self.entries.remove(&key)?;
+        self.recency.remove(&(entry.last_use, key));
         self.blocks_in_use -= self.blocks_for(entry.tokens);
         Some(entry.tokens)
     }
@@ -213,6 +227,7 @@ impl KvTier {
     /// re-provisioning).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.recency.clear();
         self.blocks_in_use = 0;
         self.tick = 0;
     }
