@@ -1,9 +1,11 @@
 //! Criterion benchmarks for iteration pricing: the cold analytic path
-//! (attention + FC + interconnect + dispatch models per call) versus
-//! the fleet-shared direct-mapped memo the parallel cluster loop
-//! installs. The gap between these two is most of the parallel loop's
-//! wall-clock win, so a regression here is a regression in fleet
-//! simulation throughput.
+//! (per-shape legs from the pricer's memo plus the KV-length attention
+//! arithmetic per call) versus the fleet-shared direct-mapped memo the
+//! cluster loop installs. Single-replica serving prices every iteration
+//! cold, so `price_iteration_cold*` is that loop's pricing cost;
+//! `price_iteration_cold_speculative` mirrors a PAPI replica's key mix
+//! (speculative TLP, FC placement switching). The memoized case is the
+//! floor a fleet's hits run at.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use papi_core::pricer::SharedIterationCache;
@@ -47,6 +49,49 @@ fn bench_price_cold(c: &mut Criterion) {
     });
 }
 
+/// A speculative PAPI replica's mix: RLP 1..32, TLP 1..4, FC placement
+/// on both pools, a sliding KV length.
+fn speculative_records() -> Vec<(Placement, IterationRecord)> {
+    (0..256u64)
+        .map(|i| {
+            let (rlp, tlp) = (1 + i * 5 % 32, 1 + i / 3 % 4);
+            let kv = 600 + i * 7 % 1000;
+            let placement = if i % 2 == 0 {
+                Placement::FcPim
+            } else {
+                Placement::Pu
+            };
+            let it = IterationRecord {
+                rlp,
+                tlp,
+                total_kv_len: rlp * kv,
+                max_kv_len: kv,
+                new_tokens: rlp * tlp,
+                finished: 0,
+            };
+            (placement, it)
+        })
+        .collect()
+}
+
+fn bench_price_cold_speculative(c: &mut Criterion) {
+    let config = SystemConfig::papi(ModelPreset::Llama65B.config());
+    let records = speculative_records();
+    c.bench_function("price_iteration_cold_speculative", |b| {
+        let mut pricer = IterationPricer::new(&config);
+        b.iter(|| {
+            let mut acc = 0.0;
+            for (placement, it) in &records {
+                acc += pricer
+                    .price_iteration(*placement, black_box(it))
+                    .total_time()
+                    .value();
+            }
+            black_box(acc)
+        })
+    });
+}
+
 fn bench_price_memoized(c: &mut Criterion) {
     let config = SystemConfig::pim_only_papi(ModelPreset::Llama65B.config());
     let records = records();
@@ -70,5 +115,10 @@ fn bench_price_memoized(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_price_cold, bench_price_memoized);
+criterion_group!(
+    benches,
+    bench_price_cold,
+    bench_price_cold_speculative,
+    bench_price_memoized
+);
 criterion_main!(benches);

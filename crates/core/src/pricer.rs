@@ -16,11 +16,11 @@ use crate::metrics::IterationCost;
 use papi_gpu::{execute_kernel, GpuEnergyModel, KernelProfile, MultiGpu};
 use papi_interconnect::Route;
 use papi_llm::{FcKernel, FcKernelKind, ModelConfig, Parallelism};
-use papi_pim::attention::execute_attention;
+use papi_pim::attention::{execute_attention_at, AttentionRates};
 use papi_pim::gemv::execute_gemv;
 use papi_pim::{AttentionSpec, GemvSpec, PimDevice};
 use papi_sched::Placement;
-use papi_types::{Bytes, Energy, Time};
+use papi_types::{Bytes, Energy, Power, Time};
 use papi_workload::IterationRecord;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -161,7 +161,7 @@ pub fn fc_cost_on_pu(
 pub type IterationKey = (Placement, u64, u64, u64);
 
 /// A full-iteration cost memo shareable across sessions of identical
-/// hardware — the fleet-scale analogue of the per-session FC memo.
+/// hardware — the fleet-scale analogue of the per-pricer shape memo.
 ///
 /// A data-parallel fleet serves near-identical traffic on cloned
 /// replicas, so the `(placement, batch shape, kv length)` tuples one
@@ -265,23 +265,62 @@ impl SharedIterationCache {
     }
 }
 
-/// Stateful per-decode pricer: wraps a system configuration plus the
-/// FC-cost memo (FC cost depends only on `(placement, tokens)`, so the
-/// decaying-RLP iterations of a decode hit the cache constantly) and,
-/// optionally, a fleet-shared full-iteration memo.
+/// The part of an iteration's cost fixed by its shape `(placement, rlp,
+/// tlp)` and not by the KV length: the FC kernels, the interconnect
+/// legs, and the attention device rates at reuse `tlp`.
+#[derive(Debug, Clone, Copy)]
+struct ShapeLegs {
+    fc_time: Time,
+    fc_energy: Energy,
+    comm_time: Time,
+    comm_energy: Energy,
+    attn_rates: AttentionRates,
+}
+
+/// Stateful per-decode pricer over one [`SystemConfig`].
+///
+/// Pricing an iteration splits into legs fixed by its shape and
+/// arithmetic that scales with the KV length. The pricer memoizes the
+/// former per `(placement, rlp, tlp)`: the FC kernels' time and energy
+/// (a function of `placement` and `rlp × tlp`), the interconnect time
+/// and energy (the same), and the attention kernel's [`AttentionRates`]
+/// (a function of the reuse level `tlp`). The design's constant host
+/// dispatch time and powered-PIM static power are computed once, at
+/// construction. A cold iteration then runs only the attention
+/// arithmetic over its KV length. Every memoized value is the result of
+/// the very computation a memo-less pricer would run, and the remaining
+/// arithmetic keeps its operation order, so every [`IterationCost`] is
+/// bit-identical to pricing from scratch. The memo holds at most one
+/// entry per placement and batch shape, so it stays small.
+///
+/// A fleet-shared full-iteration memo ([`SharedIterationCache`]) can be
+/// layered on top; its hits skip the pricer's arithmetic entirely.
 #[derive(Debug, Clone)]
 pub struct IterationPricer<'a> {
     config: &'a SystemConfig,
-    fc_cache: FxMap<(Placement, u64), (Time, Energy)>,
+    shapes: FxMap<(Placement, u64, u64), ShapeLegs>,
+    other_time: Time,
+    static_power: Power,
     shared: Option<Arc<SharedIterationCache>>,
 }
 
 impl<'a> IterationPricer<'a> {
-    /// Creates a pricer over `config` with an empty FC memo.
+    /// Creates a pricer over `config` with an empty shape memo.
     pub fn new(config: &'a SystemConfig) -> Self {
+        // Host dispatch / monitoring.
+        let other_time =
+            config.dispatch_per_layer * config.model.layers as f64 + config.dispatch_per_iteration;
+        // Background power of the powered PIM pools.
+        let (attn_device, attn_count) = &config.attn_pim;
+        let mut static_power = attn_device.hbm.energy.background * *attn_count as f64;
+        if let Some((fc_device, fc_count)) = &config.fc_pim {
+            static_power += fc_device.hbm.energy.background * *fc_count as f64;
+        }
         Self {
             config,
-            fc_cache: FxMap::default(),
+            shapes: FxMap::default(),
+            other_time,
+            static_power,
             shared: None,
         }
     }
@@ -327,33 +366,14 @@ impl<'a> IterationPricer<'a> {
     }
 
     fn compute_iteration(&mut self, placement: Placement, it: &IterationRecord) -> IterationCost {
-        let model = &self.config.model;
-        let tokens = it.tokens_in_flight();
-
-        // --- FC kernels ---
         let config = self.config;
-        let (fc_time, fc_energy) =
-            *self
-                .fc_cache
-                .entry((placement, tokens))
-                .or_insert_with(|| match placement {
-                    Placement::FcPim => {
-                        let (device, count) = config
-                            .fc_pim
-                            .as_ref()
-                            .expect("scheduler placed FC on PIM but the design has none");
-                        fc_cost_on_pim(model, device, *count, tokens)
-                    }
-                    Placement::Pu => {
-                        let gpus = config
-                            .gpus
-                            .as_ref()
-                            .expect("scheduler placed FC on the PU but the design has none");
-                        fc_cost_on_pu(model, gpus, &config.gpu_energy, tokens)
-                    }
-                });
+        let model = &config.model;
+        let legs = *self
+            .shapes
+            .entry((placement, it.rlp, it.tlp))
+            .or_insert_with(|| shape_legs(config, placement, it.rlp, it.tlp));
 
-        // --- Attention ---
+        // --- Attention: the only KV-length-dependent leg ---
         let kv_per_request = it.total_kv_len.div_ceil(it.rlp).max(1);
         let attn_spec = AttentionSpec::new(
             it.rlp,
@@ -363,85 +383,101 @@ impl<'a> IterationPricer<'a> {
             it.tlp,
             model.dtype,
         );
-        let (attn_device, attn_count) = &self.config.attn_pim;
-        let attn = execute_attention(attn_device, *attn_count, &attn_spec);
+        let attn = execute_attention_at(&legs.attn_rates, config.attn_pim.1, &attn_spec);
         let attn_time = attn.time * model.layers as f64;
         let attn_energy = attn.energy.total() * model.layers as f64;
 
-        // --- Communication ---
-        let (comm_time, comm_energy) = self.comm_cost(placement, it);
-
-        // --- Host dispatch / monitoring ---
-        let other_time = self.config.dispatch_per_layer * model.layers as f64
-            + self.config.dispatch_per_iteration;
-
         // --- Static energy of powered PIM pools ---
-        let iter_time = fc_time + attn_time + comm_time + other_time;
-        let mut static_power = attn_device.hbm.energy.background * *attn_count as f64;
-        if let Some((fc_device, fc_count)) = &self.config.fc_pim {
-            static_power += fc_device.hbm.energy.background * *fc_count as f64;
-        }
-        let static_energy = static_power * iter_time;
+        let iter_time = legs.fc_time + attn_time + legs.comm_time + self.other_time;
+        let static_energy = self.static_power * iter_time;
 
         IterationCost {
             placement,
-            fc_time,
+            fc_time: legs.fc_time,
             attn_time,
-            comm_time,
-            other_time,
-            fc_energy,
+            comm_time: legs.comm_time,
+            other_time: self.other_time,
+            fc_energy: legs.fc_energy,
             attn_energy,
-            comm_energy,
+            comm_energy: legs.comm_energy,
             static_energy,
             new_tokens: it.new_tokens,
         }
     }
+}
 
-    /// Interconnect time/energy of one iteration.
-    ///
-    /// Attention traffic (Q vectors out, context vectors back) always
-    /// crosses to the disaggregated Attn-PIM pool; FC activation traffic
-    /// crosses NVLink only when the FC kernels run on FC-PIM. A
-    /// tensor-parallel group additionally all-reduces its row-parallel
-    /// FC outputs (attention projection + FFN down, `tokens × h` each)
-    /// over the inter-node fabric every layer — the
-    /// [`Route::TpAllReduce`] traffic class — regardless of where the
-    /// FC kernels ran.
-    fn comm_cost(&self, placement: Placement, it: &IterationRecord) -> (Time, Energy) {
-        let model = &self.config.model;
-        let topo = &self.config.topology;
-        let layers = model.layers as f64;
-        let tokens = it.tokens_in_flight();
-        let dsize = model.dtype.size();
-
-        let q_bytes = tokens as f64 * model.hidden as f64 * dsize.value();
-        let attn_leg = topo.transfer_time(Route::PuToAttnPim, Bytes::new(q_bytes));
-        let mut time = attn_leg * 2.0 * layers;
-        let mut energy =
-            topo.transfer_energy(Route::PuToAttnPim, Bytes::new(q_bytes)) * 2.0 * layers;
-
-        if placement == Placement::FcPim {
-            for kernel in FcKernel::layer_kernels(model) {
-                let in_bytes =
-                    Bytes::new(tokens as f64 * kernel.in_features as f64 * dsize.value());
-                let out_bytes =
-                    Bytes::new(tokens as f64 * kernel.out_features as f64 * dsize.value());
-                time += (topo.transfer_time(Route::PuToFcPim, in_bytes)
-                    + topo.transfer_time(Route::PuToFcPim, out_bytes))
-                    * layers;
-                energy += (topo.transfer_energy(Route::PuToFcPim, in_bytes)
-                    + topo.transfer_energy(Route::PuToFcPim, out_bytes))
-                    * layers;
-            }
+/// Prices the shape-fixed legs of an iteration of `rlp` requests at
+/// speculation length `tlp` with the FC kernels at `placement`.
+fn shape_legs(config: &SystemConfig, placement: Placement, rlp: u64, tlp: u64) -> ShapeLegs {
+    let model = &config.model;
+    let tokens = rlp * tlp;
+    let (fc_time, fc_energy) = match placement {
+        Placement::FcPim => {
+            let (device, count) = config
+                .fc_pim
+                .as_ref()
+                .expect("scheduler placed FC on PIM but the design has none");
+            fc_cost_on_pim(model, device, *count, tokens)
         }
-
-        if let Some(tp) = &self.config.tp {
-            let activation = Bytes::new(tokens as f64 * model.hidden as f64 * dsize.value());
-            time += tp.fabric.all_reduce_time(activation, tp.degree) * 2.0 * layers;
-            energy += tp.fabric.all_reduce_energy(activation, tp.degree) * 2.0 * layers;
+        Placement::Pu => {
+            let gpus = config
+                .gpus
+                .as_ref()
+                .expect("scheduler placed FC on the PU but the design has none");
+            fc_cost_on_pu(model, gpus, &config.gpu_energy, tokens)
         }
-        (time, energy)
+    };
+    let (comm_time, comm_energy) = comm_cost(config, placement, tokens);
+    ShapeLegs {
+        fc_time,
+        fc_energy,
+        comm_time,
+        comm_energy,
+        attn_rates: AttentionRates::of(&config.attn_pim.0, tlp, model.dtype),
     }
+}
+
+/// Interconnect time/energy of one iteration processing `tokens`
+/// (`RLP × TLP`) tokens.
+///
+/// Attention traffic (Q vectors out, context vectors back) always
+/// crosses to the disaggregated Attn-PIM pool; FC activation traffic
+/// crosses NVLink only when the FC kernels run on FC-PIM. A
+/// tensor-parallel group additionally all-reduces its row-parallel
+/// FC outputs (attention projection + FFN down, `tokens × h` each)
+/// over the inter-node fabric every layer — the
+/// [`Route::TpAllReduce`] traffic class — regardless of where the
+/// FC kernels ran.
+fn comm_cost(config: &SystemConfig, placement: Placement, tokens: u64) -> (Time, Energy) {
+    let model = &config.model;
+    let topo = &config.topology;
+    let layers = model.layers as f64;
+    let dsize = model.dtype.size();
+
+    let q_bytes = tokens as f64 * model.hidden as f64 * dsize.value();
+    let attn_leg = topo.transfer_time(Route::PuToAttnPim, Bytes::new(q_bytes));
+    let mut time = attn_leg * 2.0 * layers;
+    let mut energy = topo.transfer_energy(Route::PuToAttnPim, Bytes::new(q_bytes)) * 2.0 * layers;
+
+    if placement == Placement::FcPim {
+        for kernel in FcKernel::layer_kernels(model) {
+            let in_bytes = Bytes::new(tokens as f64 * kernel.in_features as f64 * dsize.value());
+            let out_bytes = Bytes::new(tokens as f64 * kernel.out_features as f64 * dsize.value());
+            time += (topo.transfer_time(Route::PuToFcPim, in_bytes)
+                + topo.transfer_time(Route::PuToFcPim, out_bytes))
+                * layers;
+            energy += (topo.transfer_energy(Route::PuToFcPim, in_bytes)
+                + topo.transfer_energy(Route::PuToFcPim, out_bytes))
+                * layers;
+        }
+    }
+
+    if let Some(tp) = &config.tp {
+        let activation = Bytes::new(tokens as f64 * model.hidden as f64 * dsize.value());
+        time += tp.fabric.all_reduce_time(activation, tp.degree) * 2.0 * layers;
+        energy += tp.fabric.all_reduce_energy(activation, tp.degree) * 2.0 * layers;
+    }
+    (time, energy)
 }
 
 #[cfg(test)]
@@ -491,6 +527,151 @@ mod tests {
         let config = SystemConfig::a100_attacc(ModelPreset::Llama65B.config());
         let mut pricer = IterationPricer::new(&config);
         let _ = pricer.price_iteration(Placement::FcPim, &record(4, 1, 128));
+    }
+
+    /// Reference pricing with nothing cached: FC kernels, interconnect
+    /// legs, attention device rates and the design constants are all
+    /// recomputed on every call. The memoized pricer must reproduce it
+    /// bit for bit.
+    fn reference_iteration(
+        config: &SystemConfig,
+        placement: Placement,
+        it: &IterationRecord,
+    ) -> IterationCost {
+        let model = &config.model;
+        let tokens = it.tokens_in_flight();
+        let (fc_time, fc_energy) = match placement {
+            Placement::FcPim => {
+                let (device, count) = config.fc_pim.as_ref().unwrap();
+                fc_cost_on_pim(model, device, *count, tokens)
+            }
+            Placement::Pu => {
+                let gpus = config.gpus.as_ref().unwrap();
+                fc_cost_on_pu(model, gpus, &config.gpu_energy, tokens)
+            }
+        };
+        let kv_per_request = it.total_kv_len.div_ceil(it.rlp).max(1);
+        let attn_spec = AttentionSpec::new(
+            it.rlp,
+            model.heads,
+            model.head_dim(),
+            kv_per_request,
+            it.tlp,
+            model.dtype,
+        );
+        let (attn_device, attn_count) = &config.attn_pim;
+        let attn = papi_pim::attention::execute_attention(attn_device, *attn_count, &attn_spec);
+        let attn_time = attn.time * model.layers as f64;
+        let attn_energy = attn.energy.total() * model.layers as f64;
+        let (comm_time, comm_energy) = reference_comm_cost(config, placement, it);
+        let other_time =
+            config.dispatch_per_layer * model.layers as f64 + config.dispatch_per_iteration;
+        let iter_time = fc_time + attn_time + comm_time + other_time;
+        let mut static_power = attn_device.hbm.energy.background * *attn_count as f64;
+        if let Some((fc_device, fc_count)) = &config.fc_pim {
+            static_power += fc_device.hbm.energy.background * *fc_count as f64;
+        }
+        let static_energy = static_power * iter_time;
+        IterationCost {
+            placement,
+            fc_time,
+            attn_time,
+            comm_time,
+            other_time,
+            fc_energy,
+            attn_energy,
+            comm_energy,
+            static_energy,
+            new_tokens: it.new_tokens,
+        }
+    }
+
+    fn reference_comm_cost(
+        config: &SystemConfig,
+        placement: Placement,
+        it: &IterationRecord,
+    ) -> (Time, Energy) {
+        let model = &config.model;
+        let topo = &config.topology;
+        let layers = model.layers as f64;
+        let tokens = it.tokens_in_flight();
+        let dsize = model.dtype.size();
+        let q_bytes = tokens as f64 * model.hidden as f64 * dsize.value();
+        let attn_leg = topo.transfer_time(Route::PuToAttnPim, Bytes::new(q_bytes));
+        let mut time = attn_leg * 2.0 * layers;
+        let mut energy =
+            topo.transfer_energy(Route::PuToAttnPim, Bytes::new(q_bytes)) * 2.0 * layers;
+        if placement == Placement::FcPim {
+            for kernel in FcKernel::layer_kernels(model) {
+                let in_bytes =
+                    Bytes::new(tokens as f64 * kernel.in_features as f64 * dsize.value());
+                let out_bytes =
+                    Bytes::new(tokens as f64 * kernel.out_features as f64 * dsize.value());
+                time += (topo.transfer_time(Route::PuToFcPim, in_bytes)
+                    + topo.transfer_time(Route::PuToFcPim, out_bytes))
+                    * layers;
+                energy += (topo.transfer_energy(Route::PuToFcPim, in_bytes)
+                    + topo.transfer_energy(Route::PuToFcPim, out_bytes))
+                    * layers;
+            }
+        }
+        if let Some(tp) = &config.tp {
+            let activation = Bytes::new(tokens as f64 * model.hidden as f64 * dsize.value());
+            time += tp.fabric.all_reduce_time(activation, tp.degree) * 2.0 * layers;
+            energy += tp.fabric.all_reduce_energy(activation, tp.degree) * 2.0 * layers;
+        }
+        (time, energy)
+    }
+
+    #[test]
+    fn long_lived_pricer_is_bit_identical_to_the_reference() {
+        // One pricer per design prices a long random record sequence
+        // (RLP 1..64, TLP 1..8, KV 1..8192 per request, every placement
+        // the design has), so most calls hit the shape memo filled by an
+        // earlier shape-sharing record. Each call must equal a from-scratch
+        // reference exactly. Shapes with equal RLP × TLP but different TLP
+        // share FC and interconnect cost but not attention rates, so a
+        // memo keyed by token count alone fails here.
+        let model = ModelPreset::Llama65B.config();
+        let papi = SystemConfig::papi_with_alpha(model.clone(), 24.0);
+        let configs = [
+            papi.clone(),
+            SystemConfig::pim_only_papi(model.clone()),
+            SystemConfig::a100_attacc(model),
+            papi.with_tensor_parallel(2, papi_interconnect::LinkSpec::infiniband_ndr()),
+        ];
+        let mut rng = proptest::test_runner::TestRng::deterministic();
+        let mut draw = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo + 1);
+        for config in &configs {
+            let placements: Vec<Placement> = [Placement::FcPim, Placement::Pu]
+                .into_iter()
+                .filter(|p| match p {
+                    Placement::FcPim => config.fc_pim.is_some(),
+                    Placement::Pu => config.gpus.is_some(),
+                })
+                .collect();
+            let mut pricer = IterationPricer::new(config);
+            for _ in 0..3000 {
+                let (rlp, tlp) = (draw(1, 64), draw(1, 8));
+                let kv = draw(1, 8192);
+                let it = IterationRecord {
+                    rlp,
+                    tlp,
+                    // An uneven total exercises the per-request ceiling.
+                    total_kv_len: rlp * kv + draw(0, rlp - 1),
+                    max_kv_len: kv + 1,
+                    new_tokens: draw(1, rlp * tlp),
+                    finished: draw(0, rlp),
+                };
+                let placement = placements[draw(0, placements.len() as u64 - 1) as usize];
+                assert_eq!(
+                    pricer.price_iteration(placement, &it),
+                    reference_iteration(config, placement, &it),
+                    "{:?} {placement:?} {it:?}",
+                    config.design
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! speculation length and ignoring batch size).
 
 use crate::device::PimDevice;
+use crate::energy::PimEnergyModel;
 use crate::gemv::{Bottleneck, PimKernelResult};
 use crate::partition::plan_attention_heads;
 use papi_types::{Bytes, DataType, Flops, Time};
@@ -91,6 +92,42 @@ impl AttentionSpec {
     }
 }
 
+/// The device-side rates an attention kernel runs at: everything
+/// [`execute_attention`] reads off the [`PimDevice`] for a given data-reuse
+/// level (TLP) and element type — the MAC rate at that reuse, the
+/// softmax vector-op rate, the DRAM access energy per byte, and the
+/// transfer/compute energy constants.
+///
+/// None of these depend on the batch size or the KV length, so a caller
+/// pricing many iterations of one speculation length derives them once
+/// and runs only the per-spec arithmetic ([`execute_attention_at`]) per
+/// call. The values are the very ones `execute_attention` would compute,
+/// so the cached path is exact, not an approximation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttentionRates {
+    reuse: u64,
+    dtype: DataType,
+    mac_rate: f64,
+    vector_op_rate: f64,
+    dram_pj_per_byte: f64,
+    energy_model: PimEnergyModel,
+}
+
+impl AttentionRates {
+    /// The rates of `device` at data-reuse level `reuse` (the kernel's
+    /// TLP, [`AttentionSpec::reuse`]) on `dtype` elements.
+    pub fn of(device: &PimDevice, reuse: u64, dtype: DataType) -> Self {
+        Self {
+            reuse,
+            dtype,
+            mac_rate: device.mac_rate(reuse, dtype),
+            vector_op_rate: device.vector_op_rate(),
+            dram_pj_per_byte: device.dram_access_pj_per_byte(),
+            energy_model: device.energy_model,
+        }
+    }
+}
+
 /// Executes one attention kernel over `n_devices` Attn-PIM (or AttAcc /
 /// HBM-PIM) devices, heads distributed per the §6.4 mapping.
 ///
@@ -103,25 +140,51 @@ pub fn execute_attention(
     n_devices: usize,
     spec: &AttentionSpec,
 ) -> PimKernelResult {
+    execute_attention_at(
+        &AttentionRates::of(device, spec.reuse(), spec.dtype),
+        n_devices,
+        spec,
+    )
+}
+
+/// Executes one attention kernel at precomputed device `rates` — the
+/// per-spec arithmetic of [`execute_attention`].
+///
+/// # Panics
+///
+/// Panics if `n_devices` is zero, or if `rates` were derived for a
+/// different reuse level or element type than `spec` has.
+#[track_caller]
+pub fn execute_attention_at(
+    rates: &AttentionRates,
+    n_devices: usize,
+    spec: &AttentionSpec,
+) -> PimKernelResult {
     assert!(n_devices > 0, "need at least one PIM device");
+    assert!(
+        rates.reuse == spec.reuse() && rates.dtype == spec.dtype,
+        "attention rates derived at reuse {} ({:?}) but the spec has reuse {} ({:?})",
+        rates.reuse,
+        rates.dtype,
+        spec.reuse(),
+        spec.dtype
+    );
     let plan = plan_attention_heads(spec.requests, spec.heads, n_devices);
-    let mac_rate = device.mac_rate(spec.reuse(), spec.dtype);
     // GEMV phase: busiest device streams its share of KV.
     let macs_per_unit = (2 * spec.queries * spec.kv_len * spec.head_dim) as f64;
-    let gemv_time = Time::new(plan.units_per_device as f64 * macs_per_unit / mac_rate);
+    let gemv_time = Time::new(plan.units_per_device as f64 * macs_per_unit / rates.mac_rate);
     // Softmax phase: runs on the same FPUs, so halved FPU counts (1P2B)
     // pay double here too.
     let softmax_per_unit = (spec.queries * spec.kv_len) as f64 * 5.0;
     let softmax_time =
-        Time::new(plan.units_per_device as f64 * softmax_per_unit / device.vector_op_rate());
+        Time::new(plan.units_per_device as f64 * softmax_per_unit / rates.vector_op_rate);
     let fetch_bytes = spec.kv_bytes();
-    let mut energy =
-        device
-            .energy_model
-            .breakdown(fetch_bytes, device.dram_access_pj_per_byte(), spec.macs());
+    let mut energy = rates
+        .energy_model
+        .breakdown(fetch_bytes, rates.dram_pj_per_byte, spec.macs());
     // Softmax ops cost compute energy like MACs.
     energy.compute += papi_types::Energy::from_picojoules(
-        spec.softmax_ops() * device.energy_model.compute_pj_per_mac,
+        spec.softmax_ops() * rates.energy_model.compute_pj_per_mac,
     );
     PimKernelResult {
         time: gemv_time + softmax_time,
@@ -228,5 +291,101 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_kv_len_rejected() {
         AttentionSpec::new(1, 1, 1, 0, 1, DataType::Fp16);
+    }
+
+    #[test]
+    #[should_panic(expected = "attention rates derived at reuse 2")]
+    fn rates_for_another_reuse_rejected() {
+        let rates = AttentionRates::of(&PimDevice::attn_pim(), 2, DataType::Fp16);
+        execute_attention_at(&rates, 60, &llama_attention(4, 3, 512));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Reference attention model in one function, every device rate
+        /// derived inline per call. The rates/arithmetic split must
+        /// reproduce it bit for bit.
+        fn reference_attention(
+            device: &PimDevice,
+            n_devices: usize,
+            spec: &AttentionSpec,
+        ) -> PimKernelResult {
+            assert!(n_devices > 0, "need at least one PIM device");
+            let plan = plan_attention_heads(spec.requests, spec.heads, n_devices);
+            let mac_rate = device.mac_rate(spec.reuse(), spec.dtype);
+            let macs_per_unit = (2 * spec.queries * spec.kv_len * spec.head_dim) as f64;
+            let gemv_time = Time::new(plan.units_per_device as f64 * macs_per_unit / mac_rate);
+            let softmax_per_unit = (spec.queries * spec.kv_len) as f64 * 5.0;
+            let softmax_time = Time::new(
+                plan.units_per_device as f64 * softmax_per_unit / device.vector_op_rate(),
+            );
+            let fetch_bytes = spec.kv_bytes();
+            let mut energy = device.energy_model.breakdown(
+                fetch_bytes,
+                device.dram_access_pj_per_byte(),
+                spec.macs(),
+            );
+            energy.compute += papi_types::Energy::from_picojoules(
+                spec.softmax_ops() * device.energy_model.compute_pj_per_mac,
+            );
+            PimKernelResult {
+                time: gemv_time + softmax_time,
+                energy,
+                fetch_bytes,
+                macs: spec.macs(),
+                bottleneck: Bottleneck::WeightStream,
+            }
+        }
+
+        /// The four device presets, built once: each derives its stream
+        /// bandwidth from the cycle-level DRAM model.
+        fn presets() -> &'static [PimDevice; 4] {
+            static PRESETS: std::sync::OnceLock<[PimDevice; 4]> = std::sync::OnceLock::new();
+            PRESETS.get_or_init(|| {
+                [
+                    PimDevice::attacc(),
+                    PimDevice::hbm_pim(),
+                    PimDevice::fc_pim(),
+                    PimDevice::attn_pim(),
+                ]
+            })
+        }
+
+        const DTYPES: [DataType; 5] = [
+            DataType::Fp32,
+            DataType::Fp16,
+            DataType::Bf16,
+            DataType::Int8,
+            DataType::Int4,
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `execute_attention` (rates, then arithmetic) is bit-identical
+            /// to the single-call reference on every device preset.
+            #[test]
+            fn split_execution_is_bit_identical(
+                requests in 1u64..128,
+                heads in 1u64..96,
+                head_dim in 1u64..256,
+                kv_len in 1u64..8192,
+                queries in 1u64..9,
+                dtype_index in 0usize..5,
+                n_devices in 1usize..128,
+            ) {
+                let spec = AttentionSpec::new(
+                    requests, heads, head_dim, kv_len, queries, DTYPES[dtype_index],
+                );
+                for device in presets() {
+                    let reference = reference_attention(device, n_devices, &spec);
+                    prop_assert_eq!(execute_attention(device, n_devices, &spec), reference);
+                    let rates = AttentionRates::of(device, queries, spec.dtype);
+                    prop_assert_eq!(execute_attention_at(&rates, n_devices, &spec), reference);
+                }
+            }
+        }
     }
 }

@@ -95,8 +95,9 @@ impl DecodeTrace {
             / self.iterations.len() as f64
     }
 
-    /// Internal consistency check: token and finish counts add up,
-    /// RLP never exceeds the previous iteration's in static batching.
+    /// Internal consistency check: token and finish counts add up, and
+    /// every iteration has a positive RLP and TLP and consistent KV
+    /// lengths.
     /// Used by tests and debug assertions in the simulator.
     pub fn validate(&self) -> Result<(), String> {
         let tokens: u64 = self.iterations.iter().map(|it| it.new_tokens).sum();
@@ -113,6 +114,9 @@ impl DecodeTrace {
         for (i, it) in self.iterations.iter().enumerate() {
             if it.rlp == 0 {
                 return Err(format!("iteration {i} has zero RLP"));
+            }
+            if it.tlp == 0 {
+                return Err(format!("iteration {i} has zero TLP"));
             }
             if it.max_kv_len == 0 || it.total_kv_len < it.max_kv_len {
                 return Err(format!("iteration {i} has inconsistent KV lengths"));
@@ -172,6 +176,23 @@ mod tests {
             sum_input_len_squared: 0,
         };
         assert!(trace.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_tlp() {
+        let mut trace = DecodeTrace {
+            iterations: vec![record(2, 2, 0), record(2, 2, 1), record(1, 1, 1)],
+            requests: 2,
+            total_tokens: 5,
+            total_input_tokens: 0,
+            sum_input_len_squared: 0,
+        };
+        trace.iterations[1].tlp = 0;
+        assert_eq!(
+            trace.validate().unwrap_err(),
+            "iteration 1 has zero TLP",
+            "a zero-TLP iteration would panic in attention pricing mid-run"
+        );
     }
 
     #[test]
