@@ -462,8 +462,10 @@ fn main() {
     // prefix-affinity routing: the windowed-stepping showcase. Times
     // both step modes (best-of-3 each), asserts their reports are
     // bit-for-bit identical, and gates the windowed path's wall-clock
-    // advantage (pricing memo, fast decode step and dirty snapshots,
-    // all on one thread) through `speedup_vs_sequential`.
+    // advantage through `speedup_vs_sequential`. Both modes run the
+    // one fleet loop with the pricing memo and dirty snapshots, so the
+    // ratio isolates windowing (`run_until` bursts instead of a
+    // min-clock scan per step) plus `run_until`'s fast decode step.
     scenarios.push({
         let workload = ServingWorkload::new(
             ConversationDataset::multi_turn(DatasetKind::GeneralQa, 512, 4),

@@ -30,11 +30,15 @@
 //! only accrues *energy* for work performed), energy per SLO-good
 //! token, and the full scale-event log.
 //!
-//! Both [`StepMode`](crate::cluster::StepMode)s evaluate decisions on
-//! the same tick schedule (the same latching discipline as the shared
-//! tier's gossip ticks), so parallel fleets stay bit-for-bit equal to
-//! sequential with autoscaling on.
+//! Decisions run at barriers of the fleet's one event loop, on the
+//! same tick schedule in both
+//! [`StepMode`](crate::cluster::StepMode)s (the same latching
+//! discipline as the shared tier's gossip ticks). So parallel fleets
+//! stay bit-for-bit equal to sequential with autoscaling on, whether
+//! a built-in policy or a custom one passed to
+//! [`run_elastic`](crate::cluster::ClusterEngine::run_elastic) decides.
 
+use crate::cluster::stamped_snapshot;
 use crate::metrics::{RequestRecord, ServingReport};
 use crate::serving::ServingSession;
 use crate::slo::SloSpec;
@@ -688,12 +692,7 @@ impl<'a> AutoscaleControl<'a> {
         let snapshots: Vec<ReplicaSnapshot> = sessions
             .iter()
             .enumerate()
-            .map(|(idx, s)| {
-                let mut snapshot = s.snapshot();
-                snapshot.role = roles[idx];
-                snapshot.lifecycle = self.lifecycle[idx];
-                snapshot
-            })
+            .map(|(idx, s)| stamped_snapshot(s, roles[idx], Some(self.lifecycle[idx])))
             .collect();
         let mut recent: Vec<RequestRecord> = Vec::new();
         for (idx, session) in sessions.iter().enumerate() {

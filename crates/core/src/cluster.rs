@@ -57,31 +57,36 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// How [`ClusterEngine::run_with_policies`] advances replicas between
+/// How the [`ClusterEngine`] event loop advances replicas between
 /// control-plane events.
 ///
-/// Both modes produce **bit-for-bit identical** [`ClusterReport`]s —
-/// `Parallel` is a pure wall-clock optimization, pinned against
-/// `Sequential` by `tests/parallel_equality.rs` and the golden
-/// fingerprints in `tests/routing_equality.rs`.
+/// Both modes run the same loop, with the same fleet-wide iteration
+/// pricing memo ([`SharedIterationCache`]) and the same dirty-tracked
+/// replica snapshots; they differ only in which replicas advance one
+/// step at a time. Both produce **bit-for-bit identical**
+/// [`ClusterReport`]s — `Parallel` is a pure wall-clock optimization,
+/// pinned against `Sequential` by `tests/parallel_equality.rs` and the
+/// golden fingerprints in `tests/routing_equality.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StepMode {
-    /// The reference event loop: one global scan per simulator step,
-    /// always advancing the minimum-clock replica. Simple, obviously
-    /// correct, and linearly slow in fleet size — kept as the escape
-    /// hatch and as the equality oracle for `Parallel`.
+    /// The reference order: every replica advances one
+    /// [`step`](ServingSession::step) at a time, minimum clock first,
+    /// under a bound that tightens with each new migration delivery.
+    /// Linearly slow in fleet size; kept as the equality oracle for
+    /// `Parallel`, and nothing in it calls
+    /// [`run_until`](ServingSession::run_until), so it is also the
+    /// reference for `run_until`'s fast decode step.
     Sequential,
     /// Window-at-a-time: between consecutive global events (an arrival
-    /// being routed, or a migration delivery) every replica with
-    /// pending work below the event horizon runs straight to the
-    /// horizon, in replica order on the calling thread, because
-    /// replicas only interact *at* events. Prefill-role replicas still
-    /// advance one step at a time under a tightening bound (each export
-    /// they emit can schedule a delivery earlier than the horizon,
-    /// capping how far anyone may step), which preserves the
-    /// sequential path's event order exactly. Replica snapshots are
-    /// dirty-tracked and iteration pricing is memoized fleet-wide per
-    /// design.
+    /// being routed, a migration delivery, a control-plane tick) every
+    /// replica with pending work below the event horizon runs straight
+    /// to the horizon with
+    /// [`run_until`](ServingSession::run_until), in replica order on
+    /// the calling thread, because replicas only interact *at* events.
+    /// Prefill-role replicas still advance one step at a time under the
+    /// tightening bound (each export they emit can schedule a delivery
+    /// earlier than the horizon, capping how far anyone may step),
+    /// which preserves the `Sequential` event order exactly.
     ///
     /// Windows carry too little work to pay for threads: on a 2-vCPU
     /// host the median window with two or more runnable replicas is
@@ -267,37 +272,6 @@ impl ClusterSpec {
     /// Replaces every replica's session tuning.
     pub fn with_tuning(mut self, tuning: SessionTuning) -> Self {
         self.tuning = tuning;
-        self
-    }
-
-    /// Overrides each replica's batch cap.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_max_batch(mut self, max_batch: u64) -> Self {
-        self.tuning = self.tuning.with_max_batch(max_batch);
-        self
-    }
-
-    /// Overrides each replica's KV paging granularity.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_kv_block_size(mut self, block_size: u64) -> Self {
-        self.tuning = self.tuning.with_kv_block_size(block_size);
-        self
-    }
-
-    /// Enables copy-on-write prefix sharing on every replica. Pair it
-    /// with [`PolicySpec::prefix_affinity`] routing so multi-turn
-    /// conversations keep hitting the (private, per-replica) caches a
-    /// single node would.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_prefix_sharing(mut self, enabled: bool) -> Self {
-        self.tuning = self.tuning.with_prefix_sharing(enabled);
-        self
-    }
-
-    /// Enables chunked prefill on every replica.
-    #[deprecated(since = "0.2.0", note = "tune through `with_tuning` / `tuning`")]
-    pub fn with_prefill_chunk(mut self, chunk_tokens: u64) -> Self {
-        self.tuning = self.tuning.with_prefill_chunk(chunk_tokens);
         self
     }
 }
@@ -655,6 +629,11 @@ impl ClusterEngine {
     /// must pick a decode-capable replica). Their labels become the
     /// report's `routing` and `migration.policy` fields.
     ///
+    /// Every entry point drives the fleet's one event loop; the spec's
+    /// [`StepMode`] only picks which replicas it steps one at a time,
+    /// so both modes consult the policies in the same order, over the
+    /// same snapshots.
+    ///
     /// # Panics
     ///
     /// Panics on the same conditions as [`ServingEngine::run`], or if
@@ -671,10 +650,7 @@ impl ClusterEngine {
             .autoscale
             .as_ref()
             .map(|spec| AutoscaleControl::new(spec, self.spec.dp_replicas, None));
-        match self.spec.step_mode {
-            StepMode::Sequential => self.run_sequential(workload, policy, migration, autoscale),
-            StepMode::Parallel => self.run_parallel(workload, policy, migration, autoscale),
-        }
+        self.run_episode(workload, policy, migration, autoscale)
     }
 
     /// Serves one episode with a caller-supplied [`AutoscalePolicy`]
@@ -683,7 +659,10 @@ impl ClusterEngine {
     /// cover (routing and migration use the spec's built-ins). The
     /// spec must carry an [`AutoscaleSpec`] — its bounds, spin-up
     /// delay, and decision interval still govern; only the decision
-    /// logic is replaced.
+    /// logic is replaced. It runs the same event loop as
+    /// [`run_with_policies`](Self::run_with_policies), so the policy is
+    /// consulted at the same barriers, over the same lifecycle-stamped
+    /// view, in either [`StepMode`].
     ///
     /// [`AutoscalePolicySpec`]: crate::autoscale::AutoscalePolicySpec
     ///
@@ -710,14 +689,7 @@ impl ClusterEngine {
         );
         let mut router = Router::new(self.spec.routing);
         let mut migration = self.spec.migration.build();
-        match self.spec.step_mode {
-            StepMode::Sequential => {
-                self.run_sequential(workload, &mut router, migration.as_mut(), Some(control))
-            }
-            StepMode::Parallel => {
-                self.run_parallel(workload, &mut router, migration.as_mut(), Some(control))
-            }
-        }
+        self.run_episode(workload, &mut router, migration.as_mut(), Some(control))
     }
 
     /// Opens one session per replica: replica 0 keeps the workload's
@@ -774,9 +746,41 @@ impl ClusterEngine {
         })
     }
 
-    /// The [`StepMode::Sequential`] reference loop: one global
-    /// minimum-clock scan per simulator step.
-    fn run_sequential(
+    /// The fleet's one event loop, advancing replicas a window at a
+    /// time between global events.
+    ///
+    /// Replicas interact only *at* global events (a routed arrival, a
+    /// delivered migration, a control-plane tick); between events each
+    /// session's trajectory is a function of its own state alone. The
+    /// reference order steps the minimum-clock session once and
+    /// re-derives the horizon after every step, because a fresh prefill
+    /// export can schedule a delivery earlier than the event it was
+    /// heading for. The horizon's other terms (the next arrival, gossip
+    /// and decide ticks) move only at barriers, so within a window a
+    /// step with pre-step clock `c` executes exactly when `c` is below
+    /// `min(horizon, deliveries of exports from steps with pre-step
+    /// clock < c)`.
+    ///
+    /// Each window first advances the *stepwise* sessions one step at a
+    /// time under that tightening bound, min clock first (the first
+    /// minimum in replica order on a tie). Under [`StepMode::Sequential`]
+    /// every session is stepwise, which is the reference order itself.
+    /// Under [`StepMode::Parallel`] only the prefill-role sessions are:
+    /// only they export, and a delivery always lands strictly after the
+    /// clock of the step that exported it, so stepping them first is
+    /// exactly the reference order among themselves (non-exporter steps
+    /// never affect them). The bound is then final, and every other
+    /// session runs freely to it with `run_until`; any interleaving
+    /// gives the same per-session result, so they run one after another
+    /// in replica order on the calling thread (a window is shorter than
+    /// a thread spawn; see [`StepMode::Parallel`]).
+    ///
+    /// Exports are priced and queued in the reference order, preserving
+    /// delivery tie-breaks. Snapshots at events are served from a
+    /// dirty-tracked cache (see [`refresh_snapshots`]), and iteration
+    /// pricing is memoized fleet-wide per replica design (a pure
+    /// function of the memo key; see [`SharedIterationCache`]).
+    fn run_episode(
         &self,
         workload: &ServingWorkload,
         policy: &mut dyn RoutePolicy,
@@ -787,6 +791,16 @@ impl ClusterEngine {
         let mut sessions = self.open_sessions(workload, &roles);
         let mut shared = self.open_shared_tier(&mut sessions);
         let mut next_sync = shared.as_ref().map_or(f64::INFINITY, |c| c.sync_s);
+        let mut caches: HashMap<DesignKind, Arc<SharedIterationCache>> = HashMap::new();
+        for (idx, session) in sessions.iter_mut().enumerate() {
+            let cache = caches.entry(self.spec.design_for(roles[idx])).or_default();
+            session.install_pricer_cache(Arc::clone(cache));
+        }
+        let (stepwise, free_running): (Vec<usize>, Vec<usize>) =
+            (0..sessions.len()).partition(|&idx| {
+                self.spec.step_mode == StepMode::Sequential || roles[idx] == ReplicaRole::Prefill
+            });
+
         let arrivals = workload.requests();
         let mut next_arrival = 0usize;
         let mut in_flight: Vec<InFlightMigration> = Vec::new();
@@ -798,26 +812,11 @@ impl ClusterEngine {
         };
         let mut transfer_times: Vec<Time> = Vec::new();
 
-        // Stamp each replica's snapshot with its configured role (and,
-        // for an elastic fleet, its lifecycle), so policies can honor
-        // the disaggregation and lifecycle contracts.
-        let observe = |sessions: &[ServingSession<'_>],
-                       lifecycles: Option<&[ReplicaState]>|
-         -> Vec<ReplicaSnapshot> {
-            papi_perf::phase!("snapshot");
-            sessions
-                .iter()
-                .enumerate()
-                .map(|(idx, s)| {
-                    let mut snapshot = s.snapshot();
-                    snapshot.role = roles[idx];
-                    if let Some(lifecycles) = lifecycles {
-                        snapshot.lifecycle = lifecycles[idx];
-                    }
-                    snapshot
-                })
-                .collect()
-        };
+        // Dirty-tracked snapshot cache: an event re-snapshots only the
+        // replicas that stepped or were pushed to since the last one,
+        // not the whole fleet. It starts all-dirty.
+        let mut snaps = vec![ReplicaSnapshot::default(); sessions.len()];
+        let mut dirty = vec![true; sessions.len()];
 
         loop {
             // The next global event: the earliest pending arrival or
@@ -857,8 +856,7 @@ impl ClusterEngine {
             };
             // Elastic fleets also close the window at the next
             // autoscale decision tick (same latch discipline as the
-            // gossip tick, so both step modes decide on the same
-            // schedule). A decide tick that beats a gossip tick
+            // gossip tick). A decide tick that beats a gossip tick
             // preempts it — the gossip window relatches next
             // iteration, not here.
             let decide_t = autoscale
@@ -873,19 +871,26 @@ impl ClusterEngine {
                 (horizon, deliver_now)
             };
             let sync_window = sync_window && !decide_window;
+            let h = horizon.unwrap_or(f64::INFINITY);
+            let mut advanced = false;
 
-            // Advance the fleet toward the event one step at a time,
-            // harvesting any handoffs each step exports — a fresh
-            // export can schedule a delivery *earlier* than the event
-            // we were heading for, so re-evaluate after every step.
-            if let Some(idx) = sessions
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.has_pending_work() && horizon.is_none_or(|t| s.clock() < t))
-                .min_by(|(_, a), (_, b)| a.clock().total_cmp(&b.clock()))
-                .map(|(i, _)| i)
-            {
+            // Stepwise sessions advance one step at a time under the
+            // tightening bound: each export can schedule a delivery
+            // earlier than the window's event, capping how far anyone
+            // may step afterwards.
+            loop {
+                let bound = in_flight.iter().map(|m| m.deliver_s).fold(h, f64::min);
+                let Some(idx) = stepwise
+                    .iter()
+                    .copied()
+                    .filter(|&i| sessions[i].has_pending_work() && sessions[i].clock() < bound)
+                    .min_by(|&a, &b| sessions[a].clock().total_cmp(&sessions[b].clock()))
+                else {
+                    break;
+                };
                 sessions[idx].step();
+                dirty[idx] = true;
+                advanced = true;
                 for handoff in sessions[idx].drain_egress() {
                     let cost = self.price_migration(idx, &handoff);
                     in_flight.push(InFlightMigration {
@@ -895,13 +900,28 @@ impl ClusterEngine {
                         cost,
                     });
                 }
+            }
+
+            // The bound is now final for this window: the free-running
+            // sessions cannot move it, so each one runs to it in
+            // replica order on this thread — no per-step global scan.
+            let bound = in_flight.iter().map(|m| m.deliver_s).fold(h, f64::min);
+            for &idx in &free_running {
+                let session = &mut sessions[idx];
+                if session.has_pending_work() && session.clock() < bound {
+                    dirty[idx] = true;
+                    advanced = true;
+                    session.run_until(bound);
+                }
+            }
+            if advanced {
+                // Fresh exports may have scheduled an earlier event —
+                // re-derive the horizon before handling one.
                 continue;
             }
 
             // Control-plane barrier: no session can advance below the
-            // horizon. Merge the fleet directory here, in replica
-            // order — the parallel loop reaches the same barriers with
-            // the same per-session egress.
+            // horizon. Merge the fleet directory here, in replica order.
             if let Some(control) = shared.as_mut() {
                 control.harvest(&mut sessions);
                 if sync_window {
@@ -921,310 +941,12 @@ impl ClusterEngine {
             // Autoscale decision barrier: every pending session has
             // reached the decide tick. Promote due warm-ups, retire
             // idle drainers, consult the policy, apply its actions,
-            // and latch the next tick.
+            // and latch the next tick. Lifecycle may have changed, so
+            // the whole snapshot cache is stale.
             if decide_window {
                 let control = autoscale.as_mut().expect("decide window without autoscale");
                 control.barrier(&mut sessions, &roles);
-                continue;
-            }
-
-            match deliver_now {
-                Some(pos) => {
-                    let migrated = in_flight.remove(pos);
-                    if let Some(control) = autoscale.as_mut() {
-                        control.promote_due(migrated.deliver_s);
-                    }
-                    let snapshots = observe(&sessions, autoscale.as_ref().map(|a| a.lifecycle()));
-                    let target = {
-                        papi_perf::phase!("migrate");
-                        migration.place(&MigrationContext {
-                            request: &migrated.handoff.request,
-                            kv_tokens: migrated.handoff.kv.tokens,
-                            source: migrated.source,
-                            replicas: &snapshots,
-                        })
-                    };
-                    assert!(
-                        target < sessions.len(),
-                        "migration policy {} picked replica {target} in a {}-replica fleet",
-                        migration.label(),
-                        sessions.len()
-                    );
-                    assert!(
-                        roles[target].can_decode(),
-                        "migration policy {} placed a sequence on prefill-only replica {target}",
-                        migration.label()
-                    );
-                    stats.migrations += 1;
-                    stats.bytes += migrated.cost.bytes.value();
-                    stats.energy += migrated.cost.energy;
-                    transfer_times.push(migrated.cost.time);
-                    sessions[target].push_migrated(migrated.handoff, migrated.deliver_s);
-                }
-                None => match next_arrival < arrivals.len() {
-                    true => {
-                        let request = arrivals[next_arrival].clone();
-                        next_arrival += 1;
-                        if let Some(control) = autoscale.as_mut() {
-                            control.promote_due(request.arrival_s);
-                        }
-                        let snapshots =
-                            observe(&sessions, autoscale.as_ref().map(|a| a.lifecycle()));
-                        let target = {
-                            papi_perf::phase!("route");
-                            let ctx = RouteContext::new(&request, &snapshots);
-                            let ctx = match shared.as_ref() {
-                                Some(control) => ctx.with_shared_prefixes(&control.directory),
-                                None => ctx,
-                            };
-                            let ctx = match autoscale.as_ref() {
-                                Some(control) => ctx.with_ring(control.ring()),
-                                None => ctx,
-                            };
-                            policy.route(&ctx)
-                        };
-                        assert!(
-                            target < sessions.len(),
-                            "routing policy {} picked replica {target} in a {}-replica fleet",
-                            policy.label(),
-                            sessions.len()
-                        );
-                        assert!(
-                            roles[target].accepts_arrivals(),
-                            "routing policy {} sent an arrival to decode-only replica {target}",
-                            policy.label()
-                        );
-                        if let Some(control) = autoscale.as_ref() {
-                            let state = control.lifecycle()[target];
-                            assert!(
-                                state.serves_traffic(),
-                                "routing policy {} sent an arrival to {} replica {target}",
-                                policy.label(),
-                                state.label()
-                            );
-                        }
-                        decisions += 1;
-                        sessions[target].push(request);
-                    }
-                    // No event, nothing steppable: the episode is done.
-                    false => break,
-                },
-            }
-        }
-        debug_assert!(in_flight.is_empty(), "a migration was never delivered");
-        stats.latency = LatencySummary::from_times(&transfer_times);
-        let global_tier = shared.map(SharedTierControl::into_report);
-        self.finish_report(
-            policy.label(),
-            decisions,
-            roles,
-            stats,
-            global_tier,
-            sessions,
-            autoscale,
-        )
-    }
-
-    /// The [`StepMode::Parallel`] window-at-a-time loop.
-    ///
-    /// Why this is bit-identical to [`run_sequential`](Self::run_sequential):
-    /// replicas interact only *at* global events (a routed arrival, a
-    /// delivered migration) — between events each session's trajectory
-    /// is a function of its own state alone. The sequential loop steps
-    /// the minimum-clock session and re-derives the horizon after every
-    /// step because a fresh prefill export can schedule a delivery
-    /// earlier than the event it was heading for; unrolling that rule,
-    /// a step with pre-step clock `c` executes exactly when `c` is
-    /// below `min(horizon, deliveries of exports from steps with
-    /// pre-step clock < c)`. Only prefill-role sessions export, and a
-    /// delivery always lands strictly after the clock of the step that
-    /// exported it, so: exporters are advanced first, one step at a
-    /// time under that tightening bound (exactly the sequential order
-    /// among themselves — non-exporter steps never affect them); the
-    /// bound is then final, and every other session can run freely to
-    /// it — any interleaving gives the same per-session result, so
-    /// they run one after another in replica order on the calling
-    /// thread (a window is shorter than a thread spawn; see
-    /// [`StepMode::Parallel`]). Exports are priced and queued in the
-    /// same order the sequential loop would queue them, preserving
-    /// delivery tie-breaks; snapshots at events are served from a
-    /// dirty-tracked cache (a session not stepped or pushed since the
-    /// last event snapshots identically), and iteration pricing is
-    /// memoized fleet-wide per replica design (a pure function of the
-    /// memo key — see [`SharedIterationCache`]).
-    fn run_parallel(
-        &self,
-        workload: &ServingWorkload,
-        policy: &mut dyn RoutePolicy,
-        migration: &mut dyn MigrationPolicy,
-        mut autoscale: Option<AutoscaleControl<'_>>,
-    ) -> ClusterReport {
-        let roles = self.roles();
-        let mut sessions = self.open_sessions(workload, &roles);
-        let mut shared = self.open_shared_tier(&mut sessions);
-        let mut next_sync = shared.as_ref().map_or(f64::INFINITY, |c| c.sync_s);
-        let mut caches: HashMap<DesignKind, Arc<SharedIterationCache>> = HashMap::new();
-        for (idx, session) in sessions.iter_mut().enumerate() {
-            let cache = caches.entry(self.spec.design_for(roles[idx])).or_default();
-            session.install_pricer_cache(Arc::clone(cache));
-        }
-        let exporters: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, &role)| role == ReplicaRole::Prefill)
-            .map(|(idx, _)| idx)
-            .collect();
-
-        let arrivals = workload.requests();
-        let mut next_arrival = 0usize;
-        let mut in_flight: Vec<InFlightMigration> = Vec::new();
-        let mut decisions = 0u64;
-        let mut stats = MigrationReport {
-            policy: migration.label(),
-            pricing: self.spec.migration_pricing.label(),
-            ..MigrationReport::default()
-        };
-        let mut transfer_times: Vec<Time> = Vec::new();
-
-        // Dirty-tracked snapshot cache: an event re-snapshots only the
-        // replicas that stepped or were pushed to since the last one,
-        // not the whole fleet.
-        let mut snaps: Vec<ReplicaSnapshot> = sessions
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| {
-                let mut snapshot = s.snapshot();
-                snapshot.role = roles[idx];
-                if let Some(control) = autoscale.as_ref() {
-                    snapshot.lifecycle = control.lifecycle()[idx];
-                }
-                snapshot
-            })
-            .collect();
-        let mut dirty = vec![false; sessions.len()];
-
-        loop {
-            // The next global event, exactly as the sequential loop
-            // derives it (delivery first on an exact tie).
-            let arrival_t = arrivals.get(next_arrival).map(|r| r.arrival_s);
-            let delivery = in_flight
-                .iter()
-                .enumerate()
-                .min_by(|(ia, a), (ib, b)| a.deliver_s.total_cmp(&b.deliver_s).then(ia.cmp(ib)))
-                .map(|(i, m)| (i, m.deliver_s));
-            let (horizon, deliver_now) = match (arrival_t, delivery) {
-                (Some(at), Some((di, dt))) => {
-                    if dt <= at {
-                        (Some(dt), Some(di))
-                    } else {
-                        (Some(at), None)
-                    }
-                }
-                (Some(at), None) => (Some(at), None),
-                (None, Some((di, dt))) => (Some(dt), Some(di)),
-                (None, None) => (None, None),
-            };
-            // Shared-tier gossip ticks bound the window exactly as in
-            // the sequential loop (same latch, same schedule).
-            let sync_window = sessions.iter().any(|s| s.has_pending_work())
-                && horizon.is_none_or(|t| next_sync < t);
-            let (horizon, deliver_now) = if sync_window {
-                (Some(next_sync), None)
-            } else {
-                (horizon, deliver_now)
-            };
-            // Autoscale decision ticks bound the window exactly as in
-            // the sequential loop (same latch, same schedule, same
-            // preemption of a tied-or-later gossip tick).
-            let decide_t = autoscale
-                .as_ref()
-                .map_or(f64::INFINITY, AutoscaleControl::next_decide);
-            let decide_window = autoscale.is_some()
-                && sessions.iter().any(|s| s.has_pending_work())
-                && horizon.is_none_or(|t| decide_t < t);
-            let (horizon, deliver_now) = if decide_window {
-                (Some(decide_t), None)
-            } else {
-                (horizon, deliver_now)
-            };
-            let sync_window = sync_window && !decide_window;
-            let h = horizon.unwrap_or(f64::INFINITY);
-            let mut advanced = false;
-
-            // Exporters advance one step at a time under the
-            // tightening bound: each export can schedule a delivery
-            // earlier than the window's event, capping how far anyone
-            // may step afterwards.
-            if !exporters.is_empty() {
-                loop {
-                    let bound = in_flight.iter().map(|m| m.deliver_s).fold(h, f64::min);
-                    let Some(idx) = exporters
-                        .iter()
-                        .copied()
-                        .filter(|&i| sessions[i].has_pending_work() && sessions[i].clock() < bound)
-                        .min_by(|&a, &b| sessions[a].clock().total_cmp(&sessions[b].clock()))
-                    else {
-                        break;
-                    };
-                    sessions[idx].step();
-                    dirty[idx] = true;
-                    advanced = true;
-                    for handoff in sessions[idx].drain_egress() {
-                        let cost = self.price_migration(idx, &handoff);
-                        in_flight.push(InFlightMigration {
-                            deliver_s: handoff.ready_s + cost.time.value(),
-                            source: idx,
-                            handoff,
-                            cost,
-                        });
-                    }
-                }
-            }
-
-            // The bound is now final for this window: the remaining
-            // sessions cannot move it, so each one runs to it in
-            // replica order on this thread — no per-step global scan.
-            let bound = in_flight.iter().map(|m| m.deliver_s).fold(h, f64::min);
-            for (idx, session) in sessions.iter_mut().enumerate() {
-                if roles[idx] != ReplicaRole::Prefill
-                    && session.has_pending_work()
-                    && session.clock() < bound
-                {
-                    dirty[idx] = true;
-                    advanced = true;
-                    session.run_until(bound);
-                }
-            }
-            if advanced {
-                // Fresh exports may have scheduled an earlier event —
-                // re-derive the horizon before handling one.
-                continue;
-            }
-
-            // Control-plane barrier — the same point the sequential
-            // loop harvests at (no session can advance below the
-            // horizon), with identical per-session egress contents.
-            if let Some(control) = shared.as_mut() {
-                control.harvest(&mut sessions);
-                if sync_window {
-                    let min_clock = sessions
-                        .iter()
-                        .filter(|s| s.has_pending_work())
-                        .map(|s| s.clock())
-                        .fold(f64::INFINITY, f64::min);
-                    if min_clock.is_finite() {
-                        next_sync = next_sync_tick(min_clock, control.sync_s);
-                    }
-                    continue;
-                }
-            }
-            // Autoscale decision barrier — same point, same call as
-            // the sequential loop. Lifecycle may have changed, so the
-            // whole snapshot cache is stale.
-            if decide_window {
-                let control = autoscale.as_mut().expect("decide window without autoscale");
-                control.barrier(&mut sessions, &roles);
-                dirty.iter_mut().for_each(|flag| *flag = true);
+                dirty.fill(true);
                 continue;
             }
 
@@ -1233,7 +955,7 @@ impl ClusterEngine {
                     let migrated = in_flight.remove(pos);
                     if let Some(control) = autoscale.as_mut() {
                         if control.promote_due(migrated.deliver_s) {
-                            dirty.iter_mut().for_each(|flag| *flag = true);
+                            dirty.fill(true);
                         }
                     }
                     refresh_snapshots(
@@ -1276,7 +998,7 @@ impl ClusterEngine {
                         next_arrival += 1;
                         if let Some(control) = autoscale.as_mut() {
                             if control.promote_due(request.arrival_s) {
-                                dirty.iter_mut().for_each(|flag| *flag = true);
+                                dirty.fill(true);
                             }
                         }
                         refresh_snapshots(
@@ -1392,11 +1114,27 @@ pub(crate) fn next_sync_tick(clock: f64, sync: f64) -> f64 {
     }
 }
 
-/// Refreshes the dirty entries of the cluster's snapshot cache (and
-/// re-stamps their roles and — for elastic fleets — lifecycles). Clean
-/// entries are untouched — a session that neither stepped nor received
-/// a push snapshots identically (the event loops mark the whole cache
-/// dirty whenever a lifecycle changes).
+/// A session's snapshot stamped with its configured role and — for an
+/// elastic fleet — its lifecycle, so policies can honor the
+/// disaggregation and lifecycle contracts.
+pub(crate) fn stamped_snapshot(
+    session: &ServingSession<'_>,
+    role: ReplicaRole,
+    lifecycle: Option<ReplicaState>,
+) -> ReplicaSnapshot {
+    let mut snapshot = session.snapshot();
+    snapshot.role = role;
+    if let Some(lifecycle) = lifecycle {
+        snapshot.lifecycle = lifecycle;
+    }
+    snapshot
+}
+
+/// Re-takes the dirty entries of the fleet loop's snapshot cache. A
+/// clean entry is kept: a session that neither stepped nor received a
+/// push snapshots identically (the loop marks the whole cache dirty
+/// whenever a lifecycle changes). Debug builds check that claim
+/// against a fresh snapshot of every clean entry.
 fn refresh_snapshots(
     sessions: &[ServingSession<'_>],
     roles: &[ReplicaRole],
@@ -1406,14 +1144,16 @@ fn refresh_snapshots(
 ) {
     papi_perf::phase!("snapshot");
     for (idx, flag) in dirty.iter_mut().enumerate() {
+        let fresh = || stamped_snapshot(&sessions[idx], roles[idx], lifecycles.map(|l| l[idx]));
         if *flag {
-            let mut snapshot = sessions[idx].snapshot();
-            snapshot.role = roles[idx];
-            if let Some(lifecycles) = lifecycles {
-                snapshot.lifecycle = lifecycles[idx];
-            }
-            snaps[idx] = snapshot;
+            snaps[idx] = fresh();
             *flag = false;
+        } else {
+            debug_assert_eq!(
+                snaps[idx],
+                fresh(),
+                "replica {idx} changed without its cached snapshot being marked dirty"
+            );
         }
     }
 }
@@ -2091,27 +1831,6 @@ mod tests {
         assert!(ClusterEngine::new(base(vec![ReplicaRole::Decode, ReplicaRole::Decode])).is_err());
         // A valid split passes.
         assert!(ClusterEngine::new(base(vec![ReplicaRole::Prefill, ReplicaRole::Decode])).is_ok());
-    }
-
-    /// The deprecated per-knob shims still forward into the shared
-    /// tuning, so pre-`SessionTuning` call sites behave identically.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knob_shims_forward_to_tuning() {
-        let model = ModelPreset::Llama65B.config();
-        let spec = ClusterSpec::new(DesignKind::PimOnlyPapi, model, 1, 2)
-            .with_max_batch(12)
-            .with_kv_block_size(16)
-            .with_prefix_sharing(true)
-            .with_prefill_chunk(256);
-        assert_eq!(
-            spec.tuning,
-            SessionTuning::default()
-                .with_max_batch(12)
-                .with_kv_block_size(16)
-                .with_prefix_sharing(true)
-                .with_prefill_chunk(256)
-        );
     }
 
     /// A multi-turn long-context workload that thrashes each replica's

@@ -1589,8 +1589,11 @@ impl ServingSession<'_> {
     /// is below `bound`, but steady-state decode steps — no pending
     /// arrivals, an empty admission queue, nothing mid-prefill — take a
     /// fast path that skips the ingest/admission/prefill machinery the
-    /// full step would discover to be no-ops. The parallel cluster loop
-    /// uses this to burst replicas between control-plane events.
+    /// full step would discover to be no-ops. The cluster loop uses this
+    /// under [`StepMode::Parallel`](crate::cluster::StepMode::Parallel)
+    /// to burst replicas between control-plane events;
+    /// `StepMode::Sequential` only calls [`step`](Self::step), so it is
+    /// the reference this fast path is checked against.
     pub fn run_until(&mut self, bound: f64) {
         while self.has_pending_work() && self.clock < bound {
             // Anything that could feed the batch this step — an

@@ -82,37 +82,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Requests and tokens are conserved across arbitrary scale
-    /// schedules, in both step modes, and every logged transition is
-    /// legal.
+    /// schedules, every logged transition is legal, and both step
+    /// modes serialize byte-identical reports under the custom
+    /// autoscaler (drain-cancels and floor-refused drains included).
     #[test]
     fn scripted_scaling_conserves_requests(
         seed in 0u64..1_000_000,
         dp in 2usize..6,
         initial in 1usize..4,
-        sequential in proptest::bool::ANY,
     ) {
         let initial = initial.min(dp);
         let n = 40usize;
         let workload = ServingWorkload::poisson(DatasetKind::GeneralQa, 8.0, n).with_seed(seed);
         let slo = SloSpec::interactive(2_000.0, 100.0);
-        let engine = ClusterEngine::new(
-            ClusterSpec::new(DesignKind::PimOnlyPapi, ModelPreset::Llama65B.config(), 1, dp)
-                .with_tuning(SessionTuning::default().with_max_batch(8))
-                .with_step_mode(if sequential {
-                    StepMode::Sequential
-                } else {
-                    StepMode::Parallel
-                })
-                .with_autoscale(
-                    AutoscaleSpec::new(AutoscalePolicySpec::queue_depth(), slo)
-                        .with_min_replicas(1)
-                        .with_initial_replicas(initial)
-                        .with_spin_up(1.5)
-                        .with_decide_interval(0.5),
-                ),
-        )
-        .expect("valid elastic fleet");
-        let report = engine.run_elastic(&workload, &mut ScriptedPolicy { state: seed });
+        let run = |step_mode: StepMode| {
+            ClusterEngine::new(
+                ClusterSpec::new(DesignKind::PimOnlyPapi, ModelPreset::Llama65B.config(), 1, dp)
+                    .with_tuning(SessionTuning::default().with_max_batch(8))
+                    .with_step_mode(step_mode)
+                    .with_autoscale(
+                        AutoscaleSpec::new(AutoscalePolicySpec::queue_depth(), slo)
+                            .with_min_replicas(1)
+                            .with_initial_replicas(initial)
+                            .with_spin_up(1.5)
+                            .with_decide_interval(0.5),
+                    ),
+            )
+            .expect("valid elastic fleet")
+            .run_elastic(&workload, &mut ScriptedPolicy { state: seed })
+        };
+        let report = run(StepMode::Parallel);
+        prop_assert_eq!(
+            serde_json::to_string(&run(StepMode::Sequential)).expect("report serializes"),
+            serde_json::to_string(&report).expect("report serializes"),
+            "Parallel diverged from Sequential under the scripted autoscaler"
+        );
 
         // Every request completes exactly once, wherever the churn
         // moved the active set.
